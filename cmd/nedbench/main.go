@@ -794,7 +794,8 @@ func serveExperiment(o bench.Options) bench.Table {
 		os.Exit(1)
 	}
 	tenant.Corpus.Rebuild() // materialize outside the measured windows
-	nodes := tenant.Corpus.Stats().Nodes
+	cs := tenant.Corpus.Stats()
+	nodes := cs.Nodes
 
 	client := &http.Client{Transport: &http.Transport{MaxIdleConnsPerHost: 256}}
 	knnURL := ts.URL + "/v1/corpora/bench/knn"
@@ -815,8 +816,9 @@ func serveExperiment(o bench.Options) bench.Table {
 
 	t := bench.Table{
 		Title: "nedserve: HTTP KNN latency vs client concurrency",
-		Note: fmt.Sprintf("PGP analog (%d nodes, k=%d), KNN(5) over HTTP, in-process server, coalescing window %s",
-			nodes, kDepth, 2*time.Millisecond),
+		Note: fmt.Sprintf("PGP analog (%d nodes, k=%d, %s backend), KNN(5) over HTTP, in-process server, "+
+			"zero-wait coalescing (requests queue only behind GOMAXPROCS=%d passes)",
+			nodes, kDepth, cs.Backend, runtime.GOMAXPROCS(0)),
 		Header: []string{"concurrency", "queries", "qps", "p50 ms", "p99 ms", "coalesced %", "errors"},
 	}
 

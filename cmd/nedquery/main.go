@@ -5,7 +5,7 @@
 // Usage:
 //
 //	nedquery -from a.edges -to b.edges -node 17 [-k 3] [-l 10]
-//	         [-backend vp|bk|linear|pruned] [-timeout 30s] [-workers 0]
+//	         [-backend pruned|linear|vp|bk] [-timeout 30s] [-workers 0]
 //	         [-shards 0] [-watch]
 //
 // With -watch, nedquery keeps the corpus live after the initial answer
@@ -42,7 +42,7 @@ func main() {
 		node     = flag.Int("node", 0, "query node ID (dense ID in the -from graph)")
 		k        = flag.Int("k", 3, "neighborhood depth (k-adjacent tree levels)")
 		l        = flag.Int("l", 10, "number of neighbors to report")
-		backend  = flag.String("backend", "vp", "index backend: vp, bk, linear, or pruned")
+		backend  = flag.String("backend", "pruned", "index backend: pruned, linear, vp, or bk")
 		timeout  = flag.Duration("timeout", 0, "abort each query after this long (0 = no limit)")
 		workers  = flag.Int("workers", 0, "worker pool size (0 = all CPUs)")
 		shards   = flag.Int("shards", 0, "index shard count (0 = derived from GOMAXPROCS)")

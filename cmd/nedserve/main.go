@@ -53,8 +53,6 @@ func main() {
 		prebuild = flag.Bool("prebuild", true, "build the boot corpus's index before accepting traffic")
 
 		maxInflight = flag.Int("max-inflight", 256, "admitted query concurrency; beyond it requests get 429")
-		coalesceWin = flag.Duration("coalesce-window", 2*time.Millisecond, "KNN coalescing window (negative disables)")
-		coalesceMax = flag.Int("coalesce-max", 64, "flush a coalesced batch early at this many requests")
 		drain       = flag.Duration("drain-timeout", 30*time.Second, "graceful shutdown: how long to wait for in-flight queries")
 
 		dataDir   = flag.String("data", "", "durable data directory: tenants persist in per-name subdirectories and recover on boot")
@@ -68,12 +66,10 @@ func main() {
 		fatal(err)
 	}
 	srv := serve.New(serve.Options{
-		MaxInflight:      *maxInflight,
-		CoalesceWindow:   *coalesceWin,
-		CoalesceMaxBatch: *coalesceMax,
-		DataDir:          *dataDir,
-		Fsync:            fsync,
-		CheckpointEvery:  *ckptEvery,
+		MaxInflight:     *maxInflight,
+		DataDir:         *dataDir,
+		Fsync:           fsync,
+		CheckpointEvery: *ckptEvery,
 	})
 
 	if *dataDir != "" {

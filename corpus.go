@@ -60,7 +60,7 @@ type Backend int
 
 const (
 	// BackendVP is the paper's VP-tree metric index (§13.4): sub-linear
-	// queries via triangle-inequality pruning. The default.
+	// queries via triangle-inequality pruning.
 	BackendVP Backend = iota
 	// BackendBK is a Burkhard–Keller tree specialized to NED's small
 	// integer distances.
@@ -70,7 +70,9 @@ const (
 	// for small corpora.
 	BackendLinear
 	// BackendPrunedLinear scans sequentially, skipping candidates the
-	// padding lower bound proves out of range (§10).
+	// padding lower bound proves out of range (§10). The default: the
+	// block filter cascade prunes so well that the scan beats both trees
+	// at every measured corpus size, and it has no index to build.
 	BackendPrunedLinear
 
 	numBackends = iota
@@ -165,7 +167,7 @@ type corpusConfig struct {
 	graph     *Graph // LoadCorpus only; see WithGraph
 }
 
-// WithBackend selects the index backend (default BackendVP).
+// WithBackend selects the index backend (default BackendPrunedLinear).
 func WithBackend(b Backend) CorpusOption {
 	return func(c *corpusConfig) { c.backend = b }
 }
@@ -585,7 +587,7 @@ func NewCorpus(g *Graph, k int, opts ...CorpusOption) (*Corpus, error) {
 	if k < 1 {
 		return nil, fmt.Errorf("%w: got %d", ErrBadK, k)
 	}
-	cfg := corpusConfig{backend: BackendVP, rebuildAt: defaultRebuildThreshold, planner: true}
+	cfg := corpusConfig{backend: BackendPrunedLinear, rebuildAt: defaultRebuildThreshold, planner: true}
 	for _, opt := range opts {
 		opt(&cfg)
 	}

@@ -264,6 +264,8 @@ func loadTextCorpus(r io.Reader, opts ...CorpusOption) (*Corpus, error) {
 	if err != nil {
 		return nil, fmt.Errorf("%w: %w", ErrBadSnapshot, err)
 	}
+	// Legacy signature files record no backend; they have always loaded
+	// as VP and still do.
 	cfg := corpusConfig{backend: BackendVP, rebuildAt: defaultRebuildThreshold, planner: true}
 	k := meta.K
 	if meta.Version >= 1 {

@@ -1,10 +1,13 @@
 package ned
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"fmt"
 	"math/rand"
+	"slices"
+	"strings"
 	"sync"
 	"testing"
 )
@@ -385,5 +388,97 @@ func TestCorpusLazyBuildAndSignature(t *testing.T) {
 	}
 	if s := c.Stats(); !s.Built || s.Queries != 1 {
 		t.Errorf("after one query: %+v", s)
+	}
+}
+
+// TestCorpusDefaultBackend pins the engine default: a corpus built
+// without WithBackend serves from the pruned scan, while an explicit
+// "vp" still parses and selects the VP-tree.
+func TestCorpusDefaultBackend(t *testing.T) {
+	g := randomGraph(30, 60, 7)
+	c, err := NewCorpus(g, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if s := c.Stats(); s.Backend != BackendPrunedLinear {
+		t.Fatalf("default backend %v, want %v", s.Backend, BackendPrunedLinear)
+	}
+	b, err := ParseBackend("vp")
+	if err != nil || b != BackendVP {
+		t.Fatalf(`ParseBackend("vp") = %v, %v`, b, err)
+	}
+	vp, err := NewCorpus(g, 2, WithBackend(b))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if s := vp.Stats(); s.Backend != BackendVP {
+		t.Fatalf("explicit vp corpus reports %v", s.Backend)
+	}
+}
+
+// TestRecordedVPBackendLoadsAsVP checks that snapshots and segments
+// recording backend=vp load as VP, whatever the engine default is.
+func TestRecordedVPBackendLoadsAsVP(t *testing.T) {
+	g := randomGraph(40, 90, 19)
+	c, err := NewCorpus(g, 2, WithBackend(BackendVP))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var text, seg bytes.Buffer
+	if err := c.Snapshot(&text); err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(text.String(), "backend=vp") {
+		t.Fatalf("text snapshot does not record backend=vp:\n%.200s", text.String())
+	}
+	if err := c.SnapshotSegment(&seg); err != nil {
+		t.Fatal(err)
+	}
+	for name, buf := range map[string]*bytes.Buffer{"text": &text, "segment": &seg} {
+		loaded, err := LoadCorpus(bytes.NewReader(buf.Bytes()))
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if s := loaded.Stats(); s.Backend != BackendVP {
+			t.Fatalf("%s snapshot recording vp loaded as %v", name, s.Backend)
+		}
+	}
+}
+
+// TestVPTieAtLthPlacePGP1890 is the regression test for a VP answer
+// that broke the canonical (distance, node) order at the l-th place:
+// on the PGP analog (scale 1, seed 1, k=3, two shards) KNN(1890, 5)
+// returned {1232 6} where node 1195 ties at distance 6. The computed
+// TED* misses the triangle inequality by one on a vantage point of
+// that search, and a strict VP search pruned node 1195 away. The test
+// indexes only the nodes of the shard that lost it (same items, same
+// tree, half the build) and checks against the brute-force TopL.
+func TestVPTieAtLthPlacePGP1890(t *testing.T) {
+	if testing.Short() {
+		t.Skip("builds a VP-tree over 1335 PGP nodes")
+	}
+	const (
+		k = 3
+		v = NodeID(1890)
+		l = 5
+	)
+	g := MustGenerateDataset(DatasetPGP, DatasetOptions{Scale: 1, Seed: 1})
+	var nodes []NodeID
+	for u := 0; u < g.NumNodes(); u++ {
+		if HashShard(NodeID(u), 2) == HashShard(v, 2) {
+			nodes = append(nodes, NodeID(u))
+		}
+	}
+	want := TopL(NewSignature(g, v, k), Signatures(g, nodes, k), l)
+	c, err := NewCorpus(g, k, WithBackend(BackendVP), WithShards(1), WithNodes(nodes))
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := c.KNN(context.Background(), v, l)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !slices.Equal(got, want) {
+		t.Fatalf("VP KNN(%d, %d) = %v, brute force %v", v, l, got, want)
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"math/bits"
 	"slices"
 
+	"ned/internal/ted"
 	"ned/internal/tree"
 )
 
@@ -23,6 +24,10 @@ type profileBlock struct {
 	out *tree.ProfileArena
 	in  *tree.ProfileArena // nil for undirected corpora
 	n   int
+
+	// outs and ins are the slots' own profiles, which the lazy label
+	// tier reads its label runs from (ins nil for undirected corpora).
+	outs, ins []*tree.Profile
 
 	// byNode holds the slots sorted ascending by node ID — the stable
 	// iteration order that lets blockOrder's counting sort break padding
@@ -57,7 +62,7 @@ func compileBlock(items []Item) *profileBlock {
 			ins[i] = it.InP
 		}
 	}
-	blk := &profileBlock{out: tree.CompileArena(outs), n: len(items)}
+	blk := &profileBlock{out: tree.CompileArena(outs), n: len(items), outs: outs, ins: ins}
 	if blk.out == nil {
 		return nil
 	}
@@ -109,9 +114,9 @@ func (b *profileBlock) bounds(q Item, sizeB, padB []int32) bool {
 }
 
 // labelTier runs the lazy label tier for one slot at threshold t:
-// the O(1) combined-width gate first, the per-level merges only when
-// the gate says the tier could fire — decision-identical to
-// labelTierPrunes, reading the candidate side off the arenas.
+// the O(1) combined-width gate off the arenas first, the per-level
+// merges over the slot's own profiles only when the gate says the tier
+// could fire — decision-identical to labelTierPrunes.
 func (b *profileBlock) labelTier(q Item, slot, t int) bool {
 	directed := b.in != nil && q.In != nil
 	cap := (int(q.OutP.MaxLevel) + int(b.out.MaxW[slot]) + 3) / 4
@@ -121,9 +126,9 @@ func (b *profileBlock) labelTier(q Item, slot, t int) bool {
 	if cap <= t {
 		return false
 	}
-	term := labelTermArena(q.OutP.Levels, q.OutP.Labels, b.out.SlotLevels(slot), b.out.SlotLabels(slot))
+	term := ted.LevelLabelTerm(q.OutP, b.outs[slot])
 	if directed {
-		term += labelTermArena(q.InP.Levels, q.InP.Labels, b.in.SlotLevels(slot), b.in.SlotLabels(slot))
+		term += ted.LevelLabelTerm(q.InP, b.ins[slot])
 	}
 	return term > t
 }

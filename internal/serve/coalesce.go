@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"ned"
 )
@@ -50,88 +49,103 @@ type coalKey struct {
 	l int
 }
 
-// coalResult is one member's share of a flushed batch.
+// coalResult is one member's share of a batch.
 type coalResult struct {
 	nbs []ned.Neighbor
 	err error
 }
 
-// coalReq is one waiting KNN request.
+// coalReq is one queued KNN request.
 type coalReq struct {
 	ctx  context.Context
 	sig  ned.Signature
-	done chan coalResult // buffered: the flusher never blocks on a member that left
+	done chan coalResult // buffered: the batch never blocks on a member that left
 }
 
-// coalBatch accumulates requests for one key until the window elapses
-// or the batch fills.
-type coalBatch struct {
-	timer *time.Timer
-	reqs  []*coalReq
-	once  sync.Once
+// coalLane is the per-key pass accounting: how many engine passes are
+// in flight and which requests wait for the next one.
+type coalLane struct {
+	running int
+	queue   []*coalReq
 }
+
+// maxCoalesceBatch caps how many queued requests one pass takes.
+const maxCoalesceBatch = 64
 
 // coalescer batches concurrent single-node KNN requests against the
-// same corpus into one BatchKNN executor pass. The first request for a
-// (corpus, l) pair opens a small window; requests arriving inside it
-// join the batch, and the flush fans results back out. Under burst
-// load this converts n independent shard fan-outs into one executor
-// pass over n queries — the engine's own batching path — at the cost
-// of at most one window of added latency, and only when a burst
-// actually materializes (a lone request flushes as itself, uncounted).
+// same corpus into shared BatchKNN executor passes, without ever
+// waiting for companions. A request runs at once, as a direct engine
+// call, while fewer than maxPasses passes are in flight for its
+// (corpus, l) key; otherwise it queues, and the next pass to finish
+// takes the whole queue (up to maxCoalesceBatch) as one BatchKNN. An
+// idle server therefore adds no wait at all, and a saturated one turns
+// n independent shard fan-outs into one executor pass over n queries —
+// the engine's own batching path.
 //
 // Answers are node-identical to direct KNN calls: a batch member's
 // query signature is extracted from the same graph node the direct
 // path would use, and BatchKNN runs the same cascade + canonical
 // (distance, node) merge per query. The equivalence suite pins this.
 type coalescer struct {
-	window   time.Duration
-	maxBatch int
+	maxPasses int
 
-	// onPanic, when set, observes a recovered panic from a flush
-	// goroutine (counted and logged by the server). Flushes run outside
-	// any HTTP handler, so without recovery here a panicking engine
-	// call would kill the whole daemon, not one connection.
+	// onPanic, when set, observes a recovered panic from a batch pass
+	// (counted and logged by the server). Batches run outside any HTTP
+	// handler, so without recovery here a panicking engine call would
+	// kill the whole daemon, not one connection.
 	onPanic func(p any)
 
-	mu      sync.Mutex
-	pending map[coalKey]*coalBatch
+	// beforePass, when set, runs at the start of every engine pass,
+	// direct or batched — a test seam for holding passes open.
+	beforePass func()
 
-	batches   atomic.Int64 // multi-request executor passes flushed
+	mu    sync.Mutex
+	lanes map[coalKey]*coalLane
+
+	batches   atomic.Int64 // multi-request executor passes run
 	coalesced atomic.Int64 // requests served by those passes
 }
 
-func newCoalescer(window time.Duration, maxBatch int) *coalescer {
-	return &coalescer{
-		window:   window,
-		maxBatch: maxBatch,
-		pending:  make(map[coalKey]*coalBatch),
-	}
+// newCoalescer allows maxPasses concurrent passes per key before
+// requests start to queue.
+func newCoalescer(maxPasses int) *coalescer {
+	return &coalescer{maxPasses: maxPasses, lanes: make(map[coalKey]*coalLane)}
 }
 
-// knn enqueues one single-node KNN request and waits for its result or
-// the request's own context. A member whose context dies stops waiting
-// immediately; the batch it joined keeps running for the others.
-func (co *coalescer) knn(ctx context.Context, c *ned.Corpus, sig ned.Signature, l int) ([]ned.Neighbor, error) {
+// knn answers one single-node KNN request: directly when its lane has a
+// free pass, else from the batch it queues for. A queued member whose
+// context dies stops waiting immediately; the batch it joined keeps
+// running for the others. The caller has checked that the corpus is
+// undirected and has a graph; a bad node gets the engine's typed error
+// from a direct call.
+func (co *coalescer) knn(ctx context.Context, c *ned.Corpus, v ned.NodeID, l int) ([]ned.Neighbor, error) {
 	key := coalKey{c, l}
-	req := &coalReq{ctx: ctx, sig: sig, done: make(chan coalResult, 1)}
-
-	co.mu.Lock()
-	b := co.pending[key]
-	if b == nil {
-		b = &coalBatch{}
-		co.pending[key] = b
-		b.timer = time.AfterFunc(co.window, func() { co.flush(key, b) })
-	}
-	b.reqs = append(b.reqs, req)
-	full := len(b.reqs) >= co.maxBatch
-	if full {
-		delete(co.pending, key)
-		b.timer.Stop()
-	}
-	co.mu.Unlock()
-	if full {
-		go co.flush(key, b)
+	var req *coalReq
+	for {
+		co.mu.Lock()
+		ln := co.lanes[key]
+		if ln == nil {
+			ln = &coalLane{}
+			co.lanes[key] = ln
+		}
+		if ln.running < co.maxPasses {
+			ln.running++
+			co.mu.Unlock()
+			return co.direct(ctx, key, ln, v)
+		}
+		if req != nil {
+			ln.queue = append(ln.queue, req)
+			co.mu.Unlock()
+			break
+		}
+		co.mu.Unlock()
+		// Extract outside the lock, then look again: a pass may have
+		// finished meanwhile.
+		sig, err := c.Signature(v)
+		if err != nil {
+			return c.KNN(ctx, v, l) // the engine's own typed error
+		}
+		req = &coalReq{ctx: ctx, sig: sig, done: make(chan coalResult, 1)}
 	}
 
 	select {
@@ -142,22 +156,47 @@ func (co *coalescer) knn(ctx context.Context, c *ned.Corpus, sig ned.Signature, 
 	}
 }
 
-// flush detaches the batch from the pending table (if the timer beat
-// the full-batch path to it) and runs it exactly once.
-func (co *coalescer) flush(key coalKey, b *coalBatch) {
-	co.mu.Lock()
-	if co.pending[key] == b {
-		delete(co.pending, key)
-	}
-	co.mu.Unlock()
-	b.once.Do(func() { co.run(key, b.reqs) })
+// direct runs one request as its own pass on ln.
+func (co *coalescer) direct(ctx context.Context, key coalKey, ln *coalLane, v ned.NodeID) ([]ned.Neighbor, error) {
+	defer co.release(key, ln)
+	co.pass()
+	return key.c.KNN(ctx, v, key.l)
 }
 
-// run executes a detached batch. Requests are only appended while a
-// batch sits in the pending table, so reqs is immutable here. A panic
-// out of the engine is recovered: every member that has not received a
-// result yet gets a typed error instead of hanging until its context
-// dies, and the daemon survives.
+func (co *coalescer) pass() {
+	if co.beforePass != nil {
+		co.beforePass()
+	}
+}
+
+// release ends one pass on ln. When requests queued behind it, the
+// pass's slot goes straight to a batch over them; otherwise it frees.
+func (co *coalescer) release(key coalKey, ln *coalLane) {
+	co.mu.Lock()
+	if len(ln.queue) == 0 {
+		ln.running--
+		if ln.running == 0 {
+			delete(co.lanes, key)
+		}
+		co.mu.Unlock()
+		return
+	}
+	n := min(len(ln.queue), maxCoalesceBatch)
+	reqs := ln.queue[:n:n]
+	if ln.queue = ln.queue[n:]; len(ln.queue) == 0 {
+		ln.queue = nil
+	}
+	co.mu.Unlock()
+	go func() {
+		defer co.release(key, ln)
+		co.run(key, reqs)
+	}()
+}
+
+// run executes a batch taken off a lane. A panic out of the engine is
+// recovered: every member that has not received a result yet gets a
+// typed error instead of hanging until its context dies, and the
+// daemon survives.
 func (co *coalescer) run(key coalKey, reqs []*coalReq) {
 	defer func() {
 		if p := recover(); p != nil {
@@ -173,13 +212,25 @@ func (co *coalescer) run(key coalKey, reqs []*coalReq) {
 			}
 		}
 	}()
+	co.pass()
 	co.runBatch(key, reqs)
 }
 
 func (co *coalescer) runBatch(key coalKey, reqs []*coalReq) {
-	if len(reqs) == 1 {
-		// No burst materialized: serve directly under the request's own
-		// context, and don't count it as coalesced.
+	// Members that gave up while queued are no longer waiting.
+	live := reqs[:0:0]
+	for _, r := range reqs {
+		if r.ctx.Err() == nil {
+			live = append(live, r)
+		}
+	}
+	reqs = live
+	switch len(reqs) {
+	case 0:
+		return
+	case 1:
+		// Nothing to share: serve under the request's own context, and
+		// don't count it as coalesced.
 		r := reqs[0]
 		nbs, err := key.c.KNNSignature(r.ctx, r.sig, key.l)
 		r.done <- coalResult{nbs, err}
@@ -193,13 +244,13 @@ func (co *coalescer) runBatch(key coalKey, reqs []*coalReq) {
 	// while a wholly abandoned pass should stop burning executor time.
 	execCtx, cancel := context.WithCancel(context.Background())
 	execDone := make(chan struct{})
-	var live atomic.Int32
-	live.Store(int32(len(reqs)))
+	var waiting atomic.Int32
+	waiting.Store(int32(len(reqs)))
 	for _, r := range reqs {
 		go func(rc context.Context) {
 			select {
 			case <-rc.Done():
-				if live.Add(-1) == 0 {
+				if waiting.Add(-1) == 0 {
 					cancel()
 				}
 			case <-execDone:

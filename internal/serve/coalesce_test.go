@@ -6,62 +6,115 @@ import (
 	"net/http"
 	"reflect"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
+
+	"ned"
 )
 
+// queued reports how many requests wait for a pass, over all keys.
+func (co *coalescer) queued() int {
+	co.mu.Lock()
+	defer co.mu.Unlock()
+	n := 0
+	for _, ln := range co.lanes {
+		n += len(ln.queue)
+	}
+	return n
+}
+
+// holdPasses arms the coalescer's pass seam so the first n engine
+// passes block until release closes; entered receives once per held
+// pass.
+func holdPasses(s *Server, n int) (entered chan struct{}, release chan struct{}) {
+	entered, release = make(chan struct{}, n), make(chan struct{})
+	var passes atomic.Int32
+	s.coal.beforePass = func() {
+		if int(passes.Add(1)) <= n {
+			entered <- struct{}{}
+			<-release
+		}
+	}
+	return entered, release
+}
+
 // TestCoalescedKNNNodeIdentical is the coalescing equivalence suite: for
-// every backend, a burst of concurrent single-node KNN requests — which
-// the server folds into shared BatchKNN passes — must return answers
-// node-identical to the same queries served one at a time with
-// coalescing disabled.
+// every backend, KNN requests that queue behind a saturated lane — and
+// so run as one shared BatchKNN pass — must return answers
+// node-identical to the same queries served one at a time. Batching is
+// forced through the pass seam, not timing: every one of the lane's
+// GOMAXPROCS passes is held open while the burst queues behind them.
 func TestCoalescedKNNNodeIdentical(t *testing.T) {
 	const (
-		nodes   = 80
-		l       = 4
-		queries = 32
+		nodes  = 80
+		l      = 4
+		queued = 30
 	)
 	gs := ringSpec(nodes)
 
 	for _, backend := range []string{"vp", "bk", "linear", "pruned"} {
 		t.Run(backend, func(t *testing.T) {
-			// Reference answers: coalescing disabled, sequential queries.
-			_, direct := newTestServer(t, Options{CoalesceWindow: -1})
-			mustCreate(t, direct.URL, CreateRequest{Name: "c", K: 3, Backend: backend, Shards: 3, Graph: gs})
-			want := make([][]NeighborJSON, queries)
-			for i := 0; i < queries; i++ {
+			s, ts := newTestServer(t, Options{})
+			mustCreate(t, ts.URL, CreateRequest{Name: "c", K: 3, Backend: backend, Shards: 3, Graph: gs})
+			held := s.coal.maxPasses
+			queries := held + queued
+			knn := func(i int) ([]NeighborJSON, error) {
 				var qr QueryResponse
-				status, raw := postJSON(t, direct.URL+"/v1/corpora/c/knn", KNNRequest{Node: i % nodes, L: l}, &qr)
+				status, raw := postJSON(t, ts.URL+"/v1/corpora/c/knn", KNNRequest{Node: i % nodes, L: l}, &qr)
 				if status != 200 {
-					t.Fatalf("direct knn(%d): %d %s", i, status, raw)
+					return nil, fmt.Errorf("knn(%d): %d %s", i, status, raw)
 				}
-				want[i] = qr.Neighbors
+				return qr.Neighbors, nil
 			}
 
-			// Coalesced answers: a wide window so the concurrent burst
-			// lands in shared batches.
-			coalServer, coal := newTestServer(t, Options{CoalesceWindow: 25 * time.Millisecond, CoalesceMaxBatch: queries})
-			mustCreate(t, coal.URL, CreateRequest{Name: "c", K: 3, Backend: backend, Shards: 3, Graph: gs})
-			// Materialize the index first so the burst spends its window
-			// coalescing rather than racing the initial build.
-			postJSON(t, coal.URL+"/v1/corpora/c/knn", KNNRequest{Node: 0, L: 1}, nil)
+			// Reference answers: sequential queries, each a direct pass.
+			want := make([][]NeighborJSON, queries)
+			for i := range want {
+				var err error
+				if want[i], err = knn(i); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if ss := s.Stats(); ss.CoalesceBatches != 0 || ss.CoalescedRequests != 0 {
+				t.Fatalf("sequential queries were batched: %+v", ss)
+			}
 
+			entered, release := holdPasses(s, held)
 			got := make([][]NeighborJSON, queries)
 			var wg sync.WaitGroup
 			errs := make(chan error, queries)
-			for i := 0; i < queries; i++ {
+			send := func(i int) {
 				wg.Add(1)
-				go func(i int) {
+				go func() {
 					defer wg.Done()
-					var qr QueryResponse
-					status, raw := postJSON(t, coal.URL+"/v1/corpora/c/knn", KNNRequest{Node: i % nodes, L: l}, &qr)
-					if status != 200 {
-						errs <- fmt.Errorf("coalesced knn(%d): %d %s", i, status, raw)
-						return
+					var err error
+					if got[i], err = knn(i); err != nil {
+						errs <- err
 					}
-					got[i] = qr.Neighbors
-				}(i)
+				}()
 			}
+			for i := 0; i < held; i++ {
+				send(i)
+			}
+			for i := 0; i < held; i++ {
+				select {
+				case <-entered:
+				case <-time.After(10 * time.Second):
+					t.Fatal("direct passes never reached the seam")
+				}
+			}
+			for i := held; i < queries; i++ {
+				send(i)
+			}
+			deadline := time.Now().Add(10 * time.Second)
+			for s.coal.queued() < queued {
+				if time.Now().After(deadline) {
+					t.Fatalf("only %d of %d requests queued behind the held passes", s.coal.queued(), queued)
+				}
+				time.Sleep(time.Millisecond)
+			}
+			close(release)
 			wg.Wait()
 			close(errs)
 			for err := range errs {
@@ -74,20 +127,25 @@ func TestCoalescedKNNNodeIdentical(t *testing.T) {
 						i, i%nodes, want[i], got[i])
 				}
 			}
-			if ss := coalServer.Stats(); ss.CoalescedRequests == 0 {
-				t.Fatalf("burst of %d concurrent queries produced no coalescing: %+v", queries, ss)
-			} else {
-				t.Logf("coalesced %d/%d requests into %d batches", ss.CoalescedRequests, queries, ss.CoalesceBatches)
+			// The first held pass to finish takes the whole queue.
+			if ss := s.Stats(); ss.CoalesceBatches != 1 || ss.CoalescedRequests != queued {
+				t.Fatalf("want 1 batch of %d queued requests, got %+v", queued, ss)
 			}
 		})
 	}
 }
 
-// TestCoalescerLoneRequestDirect checks a request with no companions
-// flushes as a direct engine call and is not counted as coalesced.
+// TestCoalescerLoneRequestDirect checks a request on an idle server runs
+// at once as a direct engine pass: nothing queues, no batch forms, and
+// neither coalescing counter moves.
 func TestCoalescerLoneRequestDirect(t *testing.T) {
-	s, ts := newTestServer(t, Options{CoalesceWindow: time.Millisecond})
+	s, ts := newTestServer(t, Options{})
 	mustCreate(t, ts.URL, CreateRequest{Name: "c", K: 2, Graph: ringSpec(30)})
+	var passes, queuedAtPass atomic.Int32
+	s.coal.beforePass = func() {
+		passes.Add(1)
+		queuedAtPass.Add(int32(s.coal.queued()))
+	}
 	var qr QueryResponse
 	if status, raw := postJSON(t, ts.URL+"/v1/corpora/c/knn", KNNRequest{Node: 3, L: 2}, &qr); status != 200 {
 		t.Fatalf("knn: %d %s", status, raw)
@@ -95,8 +153,34 @@ func TestCoalescerLoneRequestDirect(t *testing.T) {
 	if len(qr.Neighbors) != 2 {
 		t.Fatalf("knn answer: %+v", qr)
 	}
+	if passes.Load() != 1 || queuedAtPass.Load() != 0 {
+		t.Fatalf("lone request: %d passes with %d queued, want 1 direct pass", passes.Load(), queuedAtPass.Load())
+	}
 	if ss := s.Stats(); ss.CoalescedRequests != 0 || ss.CoalesceBatches != 0 {
 		t.Fatalf("lone request was counted as coalesced: %+v", ss)
+	}
+	s.coal.mu.Lock()
+	lanes := len(s.coal.lanes)
+	s.coal.mu.Unlock()
+	if lanes != 0 {
+		t.Fatalf("idle coalescer kept %d lanes", lanes)
+	}
+}
+
+// TestDefaultBackendTenant checks a tenant created without a backend
+// name serves from the engine default, the pruned scan.
+func TestDefaultBackendTenant(t *testing.T) {
+	_, ts := newTestServer(t, Options{})
+	info := mustCreate(t, ts.URL, CreateRequest{Name: "c", K: 2, Backend: "", Graph: ringSpec(30)})
+	if info.Backend != "pruned" {
+		t.Fatalf("create reported backend %q, want pruned", info.Backend)
+	}
+	var doc StatsDoc
+	if status, raw := getJSON(t, ts.URL+"/v1/corpora/c/stats", &doc); status != 200 {
+		t.Fatalf("stats: %d %s", status, raw)
+	}
+	if doc.Stats.Backend != ned.BackendPrunedLinear {
+		t.Fatalf("/stats backend %v, want pruned", doc.Stats.Backend)
 	}
 }
 
@@ -106,7 +190,7 @@ func TestCoalescerLoneRequestDirect(t *testing.T) {
 // complete normally once unblocked.
 func TestAdmissionControl(t *testing.T) {
 	const limit = 2
-	s := New(Options{MaxInflight: limit, CoalesceWindow: -1})
+	s := New(Options{MaxInflight: limit})
 	admitted := make(chan struct{}, limit)
 	release := make(chan struct{})
 	s.afterAdmit = func() {

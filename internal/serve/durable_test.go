@@ -32,7 +32,7 @@ func knnAnswers(t *testing.T, base, name string, nodes []int) string {
 // identically — mutations included.
 func TestServeDurableRestart(t *testing.T) {
 	dir := t.TempDir()
-	opts := Options{DataDir: dir, Fsync: ned.FsyncNone, CoalesceWindow: -1}
+	opts := Options{DataDir: dir, Fsync: ned.FsyncNone}
 	s1, ts1 := newTestServer(t, opts)
 
 	gs := ringSpec(60)
@@ -112,7 +112,7 @@ func TestServeDurableRestart(t *testing.T) {
 // mutations.
 func TestServeDurableRecoveryWithoutDrain(t *testing.T) {
 	dir := t.TempDir()
-	opts := Options{DataDir: dir, Fsync: ned.FsyncNone, CoalesceWindow: -1}
+	opts := Options{DataDir: dir, Fsync: ned.FsyncNone}
 	_, ts1 := newTestServer(t, opts)
 	mustCreate(t, ts1.URL, CreateRequest{Name: "ring", K: 2, Backend: "vp", Graph: ringSpec(40)})
 	var resp map[string]any
@@ -142,7 +142,7 @@ func TestServeDurableRecoveryWithoutDrain(t *testing.T) {
 // directory and frees the name for re-creation.
 func TestServeDurableDropDeletesState(t *testing.T) {
 	dir := t.TempDir()
-	opts := Options{DataDir: dir, Fsync: ned.FsyncNone, CoalesceWindow: -1}
+	opts := Options{DataDir: dir, Fsync: ned.FsyncNone}
 	_, ts := newTestServer(t, opts)
 	mustCreate(t, ts.URL, CreateRequest{Name: "ring", K: 2, Graph: ringSpec(20)})
 
@@ -174,7 +174,7 @@ func TestServeDurableDropDeletesState(t *testing.T) {
 // was truncated by a fresh checkpoint.
 func TestServeAutoCheckpoint(t *testing.T) {
 	dir := t.TempDir()
-	opts := Options{DataDir: dir, Fsync: ned.FsyncNone, CheckpointEvery: 3, CoalesceWindow: -1}
+	opts := Options{DataDir: dir, Fsync: ned.FsyncNone, CheckpointEvery: 3}
 	s, ts := newTestServer(t, opts)
 	mustCreate(t, ts.URL, CreateRequest{Name: "ring", K: 2, Backend: "linear", Graph: ringSpec(30)})
 	var resp map[string]any
@@ -200,7 +200,7 @@ func TestServeAutoCheckpoint(t *testing.T) {
 // TestServeNonDurableUnaffected checks a DataDir-less server behaves
 // as before: no state on disk, drop works, CloseTenants is a no-op.
 func TestServeNonDurableUnaffected(t *testing.T) {
-	s, ts := newTestServer(t, Options{CoalesceWindow: -1})
+	s, ts := newTestServer(t, Options{})
 	mustCreate(t, ts.URL, CreateRequest{Name: "ring", K: 2, Graph: ringSpec(20)})
 	tenant, err := s.Registry().Get("ring")
 	if err != nil {

@@ -148,7 +148,7 @@ func (s *Server) WriteMetrics(w io.Writer) {
 	fmt.Fprintf(w, "# HELP nedserve_overloads_total Queries refused with 429 by admission control.\n")
 	fmt.Fprintf(w, "# TYPE nedserve_overloads_total counter\n")
 	fmt.Fprintf(w, "nedserve_overloads_total %d\n", ss.Overloads)
-	fmt.Fprintf(w, "# HELP nedserve_coalesce_batches_total Multi-request BatchKNN passes flushed by the coalescer.\n")
+	fmt.Fprintf(w, "# HELP nedserve_coalesce_batches_total Multi-request BatchKNN passes run by the coalescer.\n")
 	fmt.Fprintf(w, "# TYPE nedserve_coalesce_batches_total counter\n")
 	fmt.Fprintf(w, "nedserve_coalesce_batches_total %d\n", ss.CoalesceBatches)
 	fmt.Fprintf(w, "# HELP nedserve_coalesced_requests_total KNN requests served by a shared coalesced pass.\n")

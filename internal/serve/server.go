@@ -7,6 +7,7 @@ import (
 	"io"
 	"log"
 	"net/http"
+	"runtime"
 	"runtime/debug"
 	"strconv"
 	"sync"
@@ -22,13 +23,6 @@ type Options struct {
 	// NearestSet, BatchKNN) executing concurrently; requests beyond it
 	// fail fast with 429. <= 0 means 256.
 	MaxInflight int
-	// CoalesceWindow is how long the first single-node KNN request of a
-	// burst waits for companions before its batch flushes. 0 means 2ms;
-	// negative disables coalescing entirely.
-	CoalesceWindow time.Duration
-	// CoalesceMaxBatch flushes a batch early once it holds this many
-	// requests. <= 0 means 64.
-	CoalesceMaxBatch int
 	// MaxRequestBytes bounds a request body. <= 0 means 8 MiB.
 	MaxRequestBytes int64
 
@@ -52,12 +46,6 @@ func (o *Options) defaults() {
 	if o.MaxInflight <= 0 {
 		o.MaxInflight = 256
 	}
-	if o.CoalesceWindow == 0 {
-		o.CoalesceWindow = 2 * time.Millisecond
-	}
-	if o.CoalesceMaxBatch <= 0 {
-		o.CoalesceMaxBatch = 64
-	}
 	if o.MaxRequestBytes <= 0 {
 		o.MaxRequestBytes = 8 << 20
 	}
@@ -74,7 +62,7 @@ type Server struct {
 	opts Options
 	reg  *Registry
 	adm  *admission
-	coal *coalescer // nil when coalescing is disabled
+	coal *coalescer
 	met  *metrics
 	mux  *http.ServeMux
 
@@ -101,13 +89,11 @@ func New(opts Options) *Server {
 		met:        newMetrics(),
 		mux:        http.NewServeMux(),
 		recovering: make(map[string]*recoverState),
+		coal:       newCoalescer(runtime.GOMAXPROCS(0)),
 	}
-	if opts.CoalesceWindow > 0 {
-		s.coal = newCoalescer(opts.CoalesceWindow, opts.CoalesceMaxBatch)
-		s.coal.onPanic = func(p any) {
-			s.met.panics.Add(1)
-			log.Printf("serve: panic in coalesced batch: %v\n%s", p, debug.Stack())
-		}
+	s.coal.onPanic = func(p any) {
+		s.met.panics.Add(1)
+		log.Printf("serve: panic in coalesced batch: %v\n%s", p, debug.Stack())
 	}
 	s.routes()
 	return s
@@ -159,9 +145,7 @@ func (s *Server) Stats() ServerStats {
 		Panics:          s.met.panics.Load(),
 		DegradedCorpora: len(s.degradedTenants()),
 	}
-	if s.coal != nil {
-		ss.CoalesceBatches, ss.CoalescedRequests = s.coal.stats()
-	}
+	ss.CoalesceBatches, ss.CoalescedRequests = s.coal.stats()
 	return ss
 }
 
@@ -544,19 +528,13 @@ func (s *Server) handleKNN(ctx context.Context, r *http.Request) (int, any, erro
 }
 
 // corpusKNN routes a single-node KNN through the coalescer when it can
-// prove equivalence — undirected corpus, graph attached, in-range node
-// — and falls back to a direct engine call otherwise.
+// prove equivalence — undirected corpus, graph attached — and makes a
+// direct engine call otherwise.
 func (s *Server) corpusKNN(ctx context.Context, t *Tenant, v ned.NodeID, l int) ([]ned.Neighbor, error) {
-	if s.coal == nil || t.Directed || !t.HasGraph || l < 1 {
+	if t.Directed || !t.HasGraph || l < 1 {
 		return t.Corpus.KNN(ctx, v, l)
 	}
-	sig, err := t.Corpus.Signature(v)
-	if err != nil {
-		// Out-of-range (or graphless) nodes take the direct path so the
-		// engine's own validation produces the typed error.
-		return t.Corpus.KNN(ctx, v, l)
-	}
-	return s.coal.knn(ctx, t.Corpus, sig, l)
+	return s.coal.knn(ctx, t.Corpus, v, l)
 }
 
 func (s *Server) handleKNNSig(ctx context.Context, r *http.Request) (int, any, error) {

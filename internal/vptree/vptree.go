@@ -49,6 +49,7 @@ type Tree[T any] struct {
 	dist  Metric[T]
 	bdist BudgetedMetric[T] // optional; see SetBudgetedMetric
 	less  func(a, b T) bool // optional; see SetTieBreak
+	slack float64           // tolerated triangle defect; see SetSlack
 	root  *node[T]
 	count int // indexed points, including tombstones
 	dead  int // tombstoned points
@@ -61,9 +62,9 @@ type Tree[T any] struct {
 
 // SetBudgetedMetric installs a budget-aware variant of the metric. KNN
 // passes each node the largest distance that could still matter there —
-// radius + tau for an internal node (beyond that the vantage ball is
-// provably sterile and the point itself cannot rank), tau alone for a
-// leaf — and Range does the same with r in place of tau. An evaluation
+// radius + tau + slack for an internal node (beyond that the vantage
+// ball is provably sterile and the point itself cannot rank), tau alone
+// for a leaf — and Range does the same with r in place of tau. An evaluation
 // that exceeds its budget skips the inside subtree and the result set
 // without affecting exactness. Call before the first query; not safe
 // concurrently with searches.
@@ -76,6 +77,16 @@ func (t *Tree[T]) SetBudgetedMetric(b BudgetedMetric[T]) { t.bdist = b }
 // first query; not safe concurrently with searches.
 func (t *Tree[T]) SetTieBreak(less func(a, b T) bool) { t.less = less }
 
+// SetSlack makes searches exact for a distance that satisfies the
+// triangle inequality only up to an additive defect s:
+// d(a,c) <= d(a,b) + d(b,c) + s. Every pruning test and evaluation
+// budget is widened by s, so a point the strict metric argument would
+// wrongly rule out — at distance exactly tau, say, where the tie-break
+// must still see it — stays reachable. Zero, the default, is the plain
+// metric case. Call before the first query; not safe concurrently with
+// searches.
+func (t *Tree[T]) SetSlack(s float64) { t.slack = s }
+
 // eval computes the distance from query to n's point under the largest
 // budget that could still matter at this node given the current search
 // radius tau.
@@ -86,7 +97,7 @@ func (t *Tree[T]) eval(query T, n *node[T], tau float64) (d float64, exact bool)
 	}
 	budget := tau
 	if n.inside != nil || n.beyond != nil {
-		budget = n.radius + tau
+		budget = n.radius + tau + t.slack
 	}
 	return t.bdist(query, n.point, budget)
 }
@@ -187,7 +198,7 @@ func (t *Tree[T]) Delete(match func(T) bool) int {
 // readers while its successor is prepared. Cloning walks the whole tree
 // but performs no metric evaluations.
 func (t *Tree[T]) Clone() *Tree[T] {
-	c := &Tree[T]{dist: t.dist, bdist: t.bdist, less: t.less, count: t.count, dead: t.dead}
+	c := &Tree[T]{dist: t.dist, bdist: t.bdist, less: t.less, slack: t.slack, count: t.count, dead: t.dead}
 	if t.root == nil {
 		return c
 	}
@@ -391,7 +402,8 @@ func (t *Tree[T]) KNNContext(ctx context.Context, query T, k int) ([]Result[T], 
 		if !exact {
 			// d exceeds every budget that matters here: it cannot enter
 			// the result set (d > tau) and the inside ball is provably
-			// sterile (d - tau > radius); only beyond can hold hits.
+			// sterile (d - tau - slack > radius); only beyond can hold
+			// hits.
 			visit(n.beyond)
 			return
 		}
@@ -407,17 +419,17 @@ func (t *Tree[T]) KNNContext(ctx context.Context, query T, k int) ([]Result[T], 
 		}
 		// Visit the more promising side first; prune with the triangle
 		// inequality: the inside ball can contain a better hit only if
-		// d - tau < radius (its membership is strict, so even an exact
-		// tie on the bound cannot reach distance tau), the beyond region
-		// only if d + tau >= radius.
+		// d - tau - slack < radius (its membership is strict, so even an
+		// exact tie on the bound cannot reach distance tau), the beyond
+		// region only if d + tau + slack >= radius.
 		if d < n.radius {
 			visit(n.inside)
-			if h.Len() < k || d+tau >= n.radius {
+			if h.Len() < k || d+tau+t.slack >= n.radius {
 				visit(n.beyond)
 			}
 		} else {
 			visit(n.beyond)
-			if h.Len() < k || d-tau < n.radius {
+			if h.Len() < k || d-tau-t.slack < n.radius {
 				visit(n.inside)
 			}
 		}
@@ -465,7 +477,7 @@ func (t *Tree[T]) RangeContext(ctx context.Context, query T, r float64) ([]Resul
 		d, exact := t.eval(query, n, r)
 		evals++
 		if !exact {
-			// d > radius + r: not a hit, and the inside ball cannot
+			// d > radius + r + slack: not a hit, and the inside ball cannot
 			// reach back within r; only beyond can hold hits.
 			visit(n.beyond)
 			return
@@ -473,10 +485,10 @@ func (t *Tree[T]) RangeContext(ctx context.Context, query T, r float64) ([]Resul
 		if d <= r && !n.dead {
 			out = append(out, Result[T]{n.point, d})
 		}
-		if d-r < n.radius {
+		if d-r-t.slack < n.radius {
 			visit(n.inside)
 		}
-		if d+r >= n.radius {
+		if d+r+t.slack >= n.radius {
 			visit(n.beyond)
 		}
 	}
