@@ -4,7 +4,10 @@
 // with dual potentials (Jonker–Volgenant style).
 //
 // TED* (§5.5 of the NED paper) solves one such matching per tree level;
-// this package is its hot path.
+// this package is its hot path. Under a budget the solver builds cost
+// rows only as it reaches them and stops once a lower bound on the
+// optimum exceeds the budget; the value it then returns is that lower
+// bound, not a specific partial cost (see Solver.SolveRows).
 package hungarian
 
 import "math"
@@ -56,53 +59,86 @@ func (s *Solver) grow(n int) {
 // returned assignment aliases the Solver's internal buffer and is valid
 // until the next call.
 func (s *Solver) Solve(cost []int64, n int) (total int64, rowToCol []int) {
-	total, rowToCol, _ = s.SolveAtMost(cost, n, Inf)
+	total, rowToCol, _ = s.SolveRows(cost, n, Inf, 0, nil)
 	return total, rowToCol
 }
 
-// SolveAtMost is Solve with an early-abort budget: after each row's
-// augmentation the cost of the optimal partial matching built so far is
-// a lower bound on the final total (costs are non-negative, so adding
-// rows never cheapens the matching), and once that bound exceeds budget
-// the solver stops. It returns (partial, nil, false) in that case, where
-// partial > budget lower-bounds the true optimum; otherwise it returns
-// the exact (total, assignment, true), bit-identical to Solve.
+// SolveAtMost is Solve with an early-abort budget on a fully built
+// matrix: SolveRows with no per-entry floor and no row fill.
 func (s *Solver) SolveAtMost(cost []int64, n int, budget int64) (total int64, rowToCol []int, complete bool) {
+	return s.SolveRows(cost, n, budget, 0, nil)
+}
+
+// SolveRows is the solve loop behind Solve and SolveAtMost. It adds the
+// rows of the n×n row-major matrix cost one at a time, and the solve
+// reads row i only once row i has been added, so a non-nil fill is
+// called as fill(i, cost[i*n:(i+1)*n]) just before row i is added, for
+// i = 0, 1, ... in order; rows past an abort are never filled. A nil
+// fill means the matrix is already built.
+//
+// floor is a lower bound the caller guarantees for every entry (0 when
+// nothing is known). After i rows the optimal partial matching of those
+// rows costs partial_i, and every remaining row costs at least floor,
+// so the optimum is at least partial_i + (n-i)·floor; the solve stops
+// as soon as that bound exceeds budget, which for i = 0 means before
+// any row is filled once n·floor > budget. In that case it returns
+// (bound, nil, false) with budget < bound <= optimum: a lower bound,
+// not any particular partial cost. Otherwise it returns the exact
+// (total, assignment, true), and the result is the same for every
+// floor, fill and budget >= the optimum. A solve completes exactly when
+// the optimum is <= budget; a budget of Inf never aborts.
+func (s *Solver) SolveRows(cost []int64, n int, budget, floor int64, fill func(i int, row []int64)) (total int64, rowToCol []int, complete bool) {
 	if n == 0 {
 		return 0, nil, true
 	}
+	if budget < Inf {
+		if bound := int64(n) * floor; bound > budget {
+			return bound, nil, false
+		}
+	}
 	s.grow(n)
 	u, v, p, way, minv, used := s.u, s.v, s.p, s.way, s.minv, s.used
+	// Equal-length views, so the compiler can drop the bounds checks in
+	// the two scans below: v, minv, p and used span columns 0..n, and
+	// the c-suffixed views span columns 1..n, lined up with a cost row.
+	v, minv, p = v[:len(used)], minv[:len(used)], p[:len(used)]
+	usedC := used[1:]
+	vC, minvC, wayC := v[1:len(used)], minv[1:len(used)], way[1:len(used)]
+	vC, minvC, wayC = vC[:len(usedC)], minvC[:len(usedC)], wayC[:len(usedC)]
 
 	for i := 1; i <= n; i++ {
+		if fill != nil {
+			fill(i-1, cost[(i-1)*n:i*n])
+		}
 		p[0] = i
 		j0 := 0
-		for j := 0; j <= n; j++ {
+		for j := range used {
 			minv[j] = Inf
 			used[j] = false
 		}
 		for {
 			used[j0] = true
 			i0 := p[j0]
-			base := (i0 - 1) * n
+			row := cost[(i0-1)*n:][:len(usedC)]
+			ui0 := u[i0]
 			var delta int64 = Inf
 			j1 := -1
-			for j := 1; j <= n; j++ {
-				if used[j] {
+			for k, c := range row {
+				if usedC[k] {
 					continue
 				}
-				cur := cost[base+j-1] - u[i0] - v[j]
-				if cur < minv[j] {
-					minv[j] = cur
-					way[j] = j0
+				cur := c - ui0 - vC[k]
+				if cur < minvC[k] {
+					minvC[k] = cur
+					wayC[k] = j0
 				}
-				if minv[j] < delta {
-					delta = minv[j]
-					j1 = j
+				if minvC[k] < delta {
+					delta = minvC[k]
+					j1 = k + 1
 				}
 			}
-			for j := 0; j <= n; j++ {
-				if used[j] {
+			for j, uj := range used {
+				if uj {
 					u[p[j]] += delta
 					v[j] -= delta
 				} else {
@@ -120,16 +156,18 @@ func (s *Solver) SolveAtMost(cost []int64, n int, budget int64) (total int64, ro
 			j0 = j1
 		}
 		if budget < Inf {
-			// Cost of the optimal matching of the first i rows: a valid
-			// lower bound on the final total.
-			var partial int64
+			// Cost of the optimal matching of the first i rows (costs
+			// are non-negative, so adding rows never cheapens it), plus
+			// the floor of each row still to come: a lower bound on the
+			// final total.
+			bound := int64(n-i) * floor
 			for j := 1; j <= n; j++ {
 				if p[j] != 0 {
-					partial += cost[(p[j]-1)*n+j-1]
+					bound += cost[(p[j]-1)*n+j-1]
 				}
 			}
-			if partial > budget {
-				return partial, nil, false
+			if bound > budget {
+				return bound, nil, false
 			}
 		}
 	}

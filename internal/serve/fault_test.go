@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"context"
 	"io"
 	"net/http"
 	"net/http/httptest"
@@ -161,6 +162,75 @@ func TestServeDegradedBackoff(t *testing.T) {
 	inj.Reset()
 	if n := s.RecoverDegraded(now.Add(time.Minute)); n != 1 {
 		t.Fatalf("post-window recovery on a healed disk cleared %d tenants, want 1", n)
+	}
+	if err := s.CloseTenants(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestServeDegradedRecoveryLoop drives StartDegradedRecovery itself: a
+// tenant degraded by a dead disk is retried on the ticker, heals on its
+// own once the disk does, and after ctx is cancelled the loop stops
+// touching the disk.
+func TestServeDegradedRecoveryLoop(t *testing.T) {
+	dir := t.TempDir()
+	opts := Options{DataDir: dir, Fsync: ned.FsyncNone, CheckpointEvery: 1}
+	s, ts := newTestServer(t, opts)
+	mustCreate(t, ts.URL, CreateRequest{Name: "ring", K: 2, Backend: "linear", Graph: ringSpec(30)})
+
+	rule := faultfs.Rule{Op: faultfs.OpWrite, Path: "checkpoint-", Fault: faultfs.FaultErr, Err: syscall.ENOSPC}
+	inj := faultfs.NewInjector(dir).AddRule(rule)
+	defer inj.Install()()
+	degrade := func(node int) {
+		t.Helper()
+		var resp map[string]any
+		if status, raw := postJSON(t, ts.URL+"/v1/corpora/ring/remove", NodesRequest{Nodes: []int{node}}, &resp); status != http.StatusOK {
+			t.Fatalf("remove %d: status %d, body %s", node, status, raw)
+		}
+		if got := s.Stats().DegradedCorpora; got != 1 {
+			t.Fatalf("DegradedCorpora = %d after a failing checkpoint, want 1", got)
+		}
+	}
+	waitFor := func(what string, cond func() bool) {
+		t.Helper()
+		deadline := time.Now().Add(10 * time.Second)
+		for !cond() {
+			if time.Now().After(deadline) {
+				t.Fatalf("timed out waiting for %s", what)
+			}
+			time.Sleep(5 * time.Millisecond)
+		}
+	}
+
+	degrade(1)
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	const interval = 10 * time.Millisecond
+	tripped := len(inj.Trips())
+	s.StartDegradedRecovery(ctx, interval)
+	waitFor("a recovery attempt on the dead disk", func() bool { return len(inj.Trips()) > tripped })
+	if got := s.Stats().DegradedCorpora; got != 1 {
+		t.Fatalf("DegradedCorpora = %d while the disk is still dead, want 1", got)
+	}
+	inj.Reset() // the disk heals; the loop notices after the backoff
+	waitFor("the loop to heal the tenant", func() bool { return s.Stats().DegradedCorpora == 0 })
+
+	// After cancel the loop is gone: a fresh degradation, which a live
+	// loop would retry at its next tick, sees no attempt for many ticks.
+	cancel()
+	inj.AddRule(rule)
+	degrade(2)
+	tripped = len(inj.Trips())
+	time.Sleep(20 * interval)
+	if got := len(inj.Trips()); got != tripped {
+		t.Fatalf("recovery reached the disk %d times after ctx was cancelled", got-tripped)
+	}
+	if got := s.Stats().DegradedCorpora; got != 1 {
+		t.Fatalf("DegradedCorpora = %d after cancel, want the tenant still degraded", got)
+	}
+	inj.Reset()
+	if n := s.RecoverDegraded(time.Now()); n != 1 {
+		t.Fatalf("manual recovery after cancel cleared %d tenants, want 1", n)
 	}
 	if err := s.CloseTenants(); err != nil {
 		t.Fatal(err)

@@ -26,8 +26,9 @@ const (
 	OutcomePruned
 	// OutcomeAborted: the level sweep (or an in-flight Hungarian
 	// matching) proved the running total must cross the budget and
-	// stopped early. The returned value is a lower bound on the true
-	// distance, strictly greater than the budget.
+	// stopped early. The returned value is some lower bound on the true
+	// distance strictly greater than the budget; which one depends on
+	// where the proof came from, so callers must not rely on more.
 	OutcomeAborted
 )
 
@@ -59,7 +60,23 @@ type Computer struct {
 	// labels running parallel to rows/cols during the sorted merge.
 	off1p, off2p     []int32
 	rowLabs, colLabs []int32
+
+	// costRowHook, when set, sees every residual cost row right after
+	// it is built. Tests use it to check the residualFloor obligation;
+	// production code leaves it nil.
+	costRowHook func(row []int64)
 }
+
+// residualFloor is the least cost of any entry of a residual matching
+// matrix, passed to the solver so it can abort before building rows.
+// The equal-label pre-match leaves row and column labels disjoint, and
+// equal labels mean equal children-label multisets, so a real row and
+// a real column differ in at least one child. A padded node takes the
+// label of a childless real node (or a label no real node has when
+// none is childless), so against any leftover real node, which then
+// has children, it differs by at least one child too. Pads sit on one
+// side only, so no entry pairs two pads.
+const residualFloor = 1
 
 // NewComputer returns an empty Computer; buffers grow on first use.
 func NewComputer() *Computer { return &Computer{} }
@@ -86,14 +103,16 @@ func (c *Computer) DistanceOrdered(t1, t2 *tree.Tree) int {
 // lower bound, accumulates padding and matching costs level by level
 // bottom-up, and bails the moment the running total plus the padding
 // still owed by unprocessed levels provably crosses the budget — the
-// Hungarian matchings themselves abort mid-solve once their partial
-// matching cost makes the level unaffordable.
+// Hungarian matchings themselves abort mid-solve, building no further
+// cost rows, once their partial matching cost plus residualFloor per
+// row still to add makes the level unaffordable.
 //
 // The contract, relied on by every index backend:
 //
 //   - outcome == OutcomeExact: d is exactly Distance(t1, t2).
 //   - otherwise: d > budget and d <= Distance(t1, t2), so the true
-//     distance also exceeds the budget.
+//     distance also exceeds the budget. d is a lower bound, not a
+//     specific partial cost.
 //
 // A budget of Unbounded (or anything >= the true distance) always yields
 // OutcomeExact.
@@ -215,8 +234,8 @@ func (c *Computer) runLevels(t1, t2 *tree.Tree, lv1, lv2 []int32, budget int64, 
 
 // level executes the six steps of Algorithm 1 for one depth and returns
 // (P_d, M_d). When the Hungarian matching aborts on its budget, ok is
-// false and partial carries the solver's partial matching cost (a lower
-// bound on the true m(G²_d)).
+// false and partial carries the solver's lower bound on the true
+// m(G²_d).
 func (c *Computer) level(t1, t2 *tree.Tree, d, prevPad int, solverBudget int64) (padding, matching int, partial int64, ok bool) {
 	lo1, hi1 := t1.LevelRange(d)
 	lo2, hi2 := t2.LevelRange(d)
@@ -252,10 +271,9 @@ func (c *Computer) level(t1, t2 *tree.Tree, d, prevPad int, solverBudget int64) 
 		if cap(c.cost) < ln*ln {
 			c.cost = make([]int64, ln*ln)
 		}
-		cost := c.cost[:ln*ln]
-		for ri, r := range rows {
+		fill := func(ri int, row []int64) {
 			var sr []int32
-			if r < n1 {
+			if r := rows[ri]; r < n1 {
 				sr = c.coll1[r]
 			}
 			for ci, cl := range cols {
@@ -263,11 +281,14 @@ func (c *Computer) level(t1, t2 *tree.Tree, d, prevPad int, solverBudget int64) 
 				if cl < n2 {
 					sc = c.coll2[cl]
 				}
-				cost[ri*ln+ci] = symmetricDifference(sr, sc)
+				row[ci] = symmetricDifference(sr, sc)
+			}
+			if c.costRowHook != nil {
+				c.costRowHook(row)
 			}
 		}
 		var complete bool
-		m, assign, complete = c.solver.SolveAtMost(cost, ln, solverBudget)
+		m, assign, complete = c.solver.SolveRows(c.cost[:ln*ln], ln, solverBudget, residualFloor, fill)
 		if !complete {
 			return padding, 0, m, false
 		}

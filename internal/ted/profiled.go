@@ -170,12 +170,12 @@ func prefixOffsets(dst, levels []int32) []int32 {
 // levelFaithful executes one level of Algorithm 1 on precompiled
 // profile data, valid while no deeper level has adopted labels. Returns
 // the scalar level's exact (padding, matching) — or, on a solver abort,
-// the partial matching cost — plus stillFaithful=false once a non-empty
-// residue forces adoption (the caller switches to Computer.level for
-// the remaining, shallower levels; this level scatters its interned
-// labels into the canonize arrays and adopts on them first, so the
-// scalar levels see exactly the label partition they would have built
-// themselves).
+// the solver's lower bound on the matching cost — plus
+// stillFaithful=false once a non-empty residue forces adoption (the
+// caller switches to Computer.level for the remaining, shallower
+// levels; this level scatters its interned labels into the canonize
+// arrays and adopts on them first, so the scalar levels see exactly the
+// label partition they would have built themselves).
 func (c *Computer) levelFaithful(t1, t2 *tree.Tree, p1, p2 *tree.Profile, leaf int32, d, prevPad int, solverBudget int64) (padding, matching int, partial int64, ok, stillFaithful bool) {
 	var la, lb, perm1, perm2 []int32
 	if d < len(p1.Levels) {
@@ -280,14 +280,13 @@ func (c *Computer) levelFaithful(t1, t2 *tree.Tree, p1, p2 *tree.Profile, leaf i
 
 	// Non-empty residue: solve it on the precompiled children-label
 	// runs. Rows and columns in ascending index order — the scalar
-	// stream order — so the cost matrix, and with it the solver's
-	// matching, abort behavior, and partial costs, are bit-identical.
+	// stream order — so the cost rows, and with them the solver's
+	// matching, abort behavior, and abort bounds, are bit-identical.
 	slices.Sort(rows)
 	slices.Sort(cols)
 	if cap(c.cost) < ln*ln {
 		c.cost = make([]int64, ln*ln)
 	}
-	cost := c.cost[:ln*ln]
 	// A side shorter than depth d has no offset entry — and no real
 	// nodes here (its n is 0), so the guards below never read the base.
 	var lo1, lo2 int32
@@ -297,9 +296,9 @@ func (c *Computer) levelFaithful(t1, t2 *tree.Tree, p1, p2 *tree.Profile, leaf i
 	if d < len(c.off2p) {
 		lo2 = c.off2p[d]
 	}
-	for ri, r := range rows {
+	fill := func(ri int, row []int64) {
 		var sr []int32
-		if r < n1 {
+		if r := rows[ri]; r < n1 {
 			v := lo1 + int32(r)
 			sr = p1.Kids[p1.KidOff[v]:p1.KidOff[v+1]]
 		}
@@ -309,10 +308,13 @@ func (c *Computer) levelFaithful(t1, t2 *tree.Tree, p1, p2 *tree.Profile, leaf i
 				v := lo2 + int32(cl)
 				sc = p2.Kids[p2.KidOff[v]:p2.KidOff[v+1]]
 			}
-			cost[ri*ln+ci] = symmetricDifference(sr, sc)
+			row[ci] = symmetricDifference(sr, sc)
+		}
+		if c.costRowHook != nil {
+			c.costRowHook(row)
 		}
 	}
-	m64, assign, complete := c.solver.SolveAtMost(cost, ln, solverBudget)
+	m64, assign, complete := c.solver.SolveRows(c.cost[:ln*ln], ln, solverBudget, residualFloor, fill)
 	if !complete {
 		return padding, 0, m64, false, true
 	}

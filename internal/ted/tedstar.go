@@ -12,6 +12,12 @@
 // complexity is O(k·n³) with k the tree height and n the maximum level
 // width, dominated by the Hungarian matching.
 //
+// Budgeted evaluation (Computer.DistanceAtMost) builds each level's
+// matching cost rows only as the solver reaches them and stops once a
+// lower bound proves the distance exceeds the budget. Its exact results
+// are those of Distance; on an early exit it returns a lower bound above
+// the budget, not a specific partial cost.
+//
 // Level convention: depth 0 is the root (the paper's level 1), so the
 // k-adjacent tree T(v,k) spans depths 0..k.
 //
